@@ -26,7 +26,7 @@ use resilience::incremental::StreamingPipeline;
 use resilience::{report, Pipeline};
 use std::time::Instant;
 
-/// See E12: the scaled calendar stays inside one year at scale ≤ 0.25.
+/// The scaled calendar stays inside one year at scale ≤ 0.25.
 const LOG_YEAR: i32 = 2022;
 /// The CI gate on enabled/disabled wall-time ratio in `--smoke` mode.
 const SMOKE_BUDGET: f64 = 1.10;

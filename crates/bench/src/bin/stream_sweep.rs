@@ -27,7 +27,7 @@ use resilience::incremental::StreamingPipeline;
 use resilience::{markdown, report, Pipeline};
 use std::time::Instant;
 
-/// See E12: the scaled calendar stays inside one year at scale ≤ 0.25.
+/// The scaled calendar stays inside one year at scale ≤ 0.25.
 const LOG_YEAR: i32 = 2022;
 
 fn main() {
@@ -234,7 +234,7 @@ fn chunk_label(chunk: usize) -> String {
 }
 
 /// Parses `[--smoke] [SCALE] [SEED]`. Defaults: scale 0.05 full, 0.02
-/// smoke (the E12 convention).
+/// smoke.
 fn parse_args() -> (bool, RunOptions) {
     let mut smoke = false;
     let mut positional: Vec<String> = Vec::new();
@@ -276,7 +276,7 @@ fn median_secs<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Every deterministic render surface (the E12 convention).
+/// Every deterministic render surface.
 fn render_all(r: &resilience::StudyReport) -> String {
     format!(
         "{}\n{}\n{}\n{}\n{}\n{:?}",

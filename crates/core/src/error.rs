@@ -1,17 +1,15 @@
-//! The workspace error taxonomy for the strict ingestion paths.
+//! The typed failure for strict CSV ingestion.
 //!
-//! Strict pipeline entry points ([`crate::Pipeline::run_csv`] and friends)
-//! fail fast on the first defect, but they fail with *structure*: a
-//! [`PipelineError`] says which input stream broke and why, instead of a
-//! stringly `Box<dyn Error>` the caller can only print. The lenient paths
-//! ([`crate::Pipeline::run_lenient`]) never return these at all — defects
-//! land in a quarantine ledger instead.
+//! Strict callers (the command-line loaders) fail fast on the first bad
+//! CSV row, but they fail with *structure*: a [`PipelineError`] says which
+//! export broke and on which line, instead of a stringly
+//! `Box<dyn Error>` the caller can only print. The pipeline's own entry
+//! points never return these — [`crate::Pipeline::run_lenient`] records
+//! defects in a quarantine ledger instead.
 
 use crate::csvio::CsvError;
-use hpclog::ParseLogLineError;
 use std::error::Error;
 use std::fmt;
-use std::io;
 
 /// Which CSV export an error was found in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,8 +37,6 @@ impl fmt::Display for CsvInput {
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum PipelineError {
-    /// Reading the log stream failed.
-    Io(io::Error),
     /// A CSV export was malformed.
     Csv {
         /// Which export the bad row was in.
@@ -48,8 +44,6 @@ pub enum PipelineError {
         /// The row-level parse error (carries the line number).
         source: CsvError,
     },
-    /// A syslog line failed to parse on a strict single-line path.
-    Log(ParseLogLineError),
 }
 
 impl PipelineError {
@@ -62,11 +56,9 @@ impl PipelineError {
 impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PipelineError::Io(e) => write!(f, "log stream I/O error: {e}"),
             PipelineError::Csv { input, source } => {
                 write!(f, "{input} export: {source}")
             }
-            PipelineError::Log(e) => write!(f, "log line: {e}"),
         }
     }
 }
@@ -74,22 +66,8 @@ impl fmt::Display for PipelineError {
 impl Error for PipelineError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            PipelineError::Io(e) => Some(e),
             PipelineError::Csv { source, .. } => Some(source),
-            PipelineError::Log(e) => Some(e),
         }
-    }
-}
-
-impl From<io::Error> for PipelineError {
-    fn from(e: io::Error) -> Self {
-        PipelineError::Io(e)
-    }
-}
-
-impl From<ParseLogLineError> for PipelineError {
-    fn from(e: ParseLogLineError) -> Self {
-        PipelineError::Log(e)
     }
 }
 
@@ -107,19 +85,5 @@ mod tests {
         assert!(text.contains("outages"), "{text}");
         assert!(text.contains("line 7"), "{text}");
         assert!(err.source().is_some());
-    }
-
-    #[test]
-    fn io_errors_convert() {
-        let err: PipelineError = io::Error::other("gone").into();
-        assert!(matches!(err, PipelineError::Io(_)));
-        assert!(err.to_string().contains("gone"));
-    }
-
-    #[test]
-    fn log_errors_convert() {
-        let parse = hpclog::LogLine::parse_with_year("", 2024).unwrap_err();
-        let err: PipelineError = parse.into();
-        assert!(matches!(err, PipelineError::Log(_)));
     }
 }

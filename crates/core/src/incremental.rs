@@ -18,9 +18,10 @@
 //! coalesce fold → assemble. Each stage has a streaming twin that is the
 //! *same code*:
 //!
-//! * **Scan** — [`hpclog::stream::LenientScan`] replicates the lenient
-//!   scan rule-for-rule and carries the partial line, line counter and
-//!   out-of-order anchor across chunk (and checkpoint) boundaries.
+//! * **Scan** — [`hpclog::stream::LenientScan`] *is* the lenient scan:
+//!   the batch path feeds it one reader, the engine feeds it chunks, and
+//!   it carries the partial line, line counter and out-of-order anchor
+//!   across chunk (and checkpoint) boundaries.
 //! * **Order** — the scan rejects clock regressions, so accepted events
 //!   leave it in non-decreasing time order. The only reordering the batch
 //!   sort can then perform is *within* one timestamp, stably by host. The
@@ -381,10 +382,12 @@ impl StreamingPipeline {
         }
     }
 
-    /// Records a log-stream I/O failure, as the batch scan does when its
-    /// reader dies (the quarantine caveats pick it up).
-    pub fn record_log_io_error(&mut self) {
-        self.ledger.record_io_error();
+    /// Re-anchors year-less syslog stamps for the log lines completed from
+    /// here on (see [`LenientScan::set_year`]). Call it at a day-file
+    /// boundary, after [`finish_log`](Self::finish_log), when one stream
+    /// replays files from more than one year.
+    pub fn set_log_year(&mut self, year: i32) {
+        self.scan.set_year(year);
     }
 
     /// Feeds a chunk of the GPU-jobs CSV export.

@@ -41,7 +41,7 @@
 //!   recovering the flapping structure of §IV from the error stream.
 //! * [`pipeline`] — the end-to-end driver: raw [`hpclog::archive::Archive`]
 //!   plus job and outage records in, a [`pipeline::StudyReport`] out. The
-//!   lenient entry point ([`Pipeline::run_lenient`]) never panics or
+//!   byte-stream entry point ([`Pipeline::run_lenient`]) never panics or
 //!   aborts: defective input lands in a [`pipeline::QuarantineReport`].
 //! * [`incremental`] — the streaming twin of [`pipeline`]: log bytes and
 //!   job records in arbitrary-sized batches, bounded live state, and
@@ -50,8 +50,8 @@
 //! * [`checkpoint`] — the hand-rolled versioned snapshot container the
 //!   streaming engine serializes into (magic, version, typed decode
 //!   errors; no external serialization crates).
-//! * [`error`] — the typed failure taxonomy the strict entry points
-//!   return instead of `Box<dyn Error>`.
+//! * [`error`] — the typed CSV failure strict callers (the command-line
+//!   loaders) report instead of `Box<dyn Error>`.
 //! * [`findings`] — programmatic checks of the paper's headline findings
 //!   (i)–(vii) against a computed report.
 //! * [`scenario`] — counterfactual campaigns over the simulation
@@ -97,7 +97,6 @@ pub mod impact;
 pub mod incremental;
 pub mod job;
 pub mod markdown;
-pub mod parallel;
 pub mod pipeline;
 pub mod report;
 pub mod rollup;

@@ -13,13 +13,13 @@
 use crate::availability::Availability;
 use crate::coalesce::{coalesce, CoalesceSummary, CoalescedError};
 use crate::csvio;
-use crate::error::{CsvInput, PipelineError};
 use crate::impact::{job_mix, success_rate, JobImpact, JobMixRow, ATTRIBUTION_WINDOW};
 use crate::job::{AccountedJob, OutageRecord};
 use crate::stats::{exclude_dominant_gpu, ErrorStats, OutlierReport};
 use hpclog::archive::Archive;
 use hpclog::extract::{ExtractStats, XidExtractor};
 use hpclog::quarantine::QuarantineLedger;
+use hpclog::stream::LenientScan;
 use hpclog::XidEvent;
 use simtime::{Duration, Phase, StudyPeriods};
 use std::fmt;
@@ -78,47 +78,6 @@ impl Pipeline {
         self.run_events(events, Some(extractor.stats()), gpu_jobs, cpu_jobs, outages)
     }
 
-    /// Runs the full pipeline from raw byte streams — a log reader plus
-    /// CSV exports — failing fast with a typed [`PipelineError`] on the
-    /// first defect in any input.
-    ///
-    /// This is the strict counterpart of [`run_lenient`](Self::run_lenient):
-    /// use it when the inputs are trusted (rendered by this workspace) and
-    /// any defect means a bug upstream.
-    ///
-    /// `log_year` resolves the year-less syslog stamps (the wire format
-    /// drops the year; the consolidated day files carry it out of band).
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::Io`] if the log stream fails, or
-    /// [`PipelineError::Csv`] naming the export and line of the first bad
-    /// CSV row.
-    pub fn run_csv<R: std::io::Read>(
-        &self,
-        log: R,
-        log_year: i32,
-        gpu_jobs_csv: &str,
-        cpu_jobs_csv: &str,
-        outages_csv: &str,
-    ) -> Result<StudyReport, PipelineError> {
-        let mut extractor = XidExtractor::studied_only(log_year);
-        let events = extractor.scan_reader(log)?;
-        let gpu_jobs = csvio::parse_jobs(gpu_jobs_csv)
-            .map_err(|e| PipelineError::csv(CsvInput::GpuJobs, e))?;
-        let cpu_jobs = csvio::parse_jobs(cpu_jobs_csv)
-            .map_err(|e| PipelineError::csv(CsvInput::CpuJobs, e))?;
-        let outages = csvio::parse_outages(outages_csv)
-            .map_err(|e| PipelineError::csv(CsvInput::Outages, e))?;
-        Ok(self.run_events(
-            events,
-            Some(extractor.stats()),
-            &gpu_jobs,
-            &cpu_jobs,
-            &outages,
-        ))
-    }
-
     /// Runs the full pipeline from raw byte streams without ever failing:
     /// every defective log line and CSV row is classified into the
     /// returned [`QuarantineReport`]'s ledger, I/O errors truncate the log
@@ -130,8 +89,12 @@ impl Pipeline {
     /// consolidated log *will* contain truncated lines, interleaved
     /// writes and the occasional clock regression, and discarding three
     /// months of analysis over one bad byte is the wrong trade.
-    /// `log_year` resolves the year-less syslog stamps, as in
-    /// [`run_csv`](Self::run_csv).
+    ///
+    /// The log goes through the Stage-I byte scanner;
+    /// [`LenientScan::feed_reader`] documents its per-line rules and its
+    /// I/O-error rule. `log_year` resolves the year-less syslog stamps
+    /// (the wire format drops the year; the consolidated day files carry
+    /// it out of band).
     pub fn run_lenient<R: std::io::Read>(
         &self,
         log: R,
@@ -141,9 +104,10 @@ impl Pipeline {
         outages_csv: &str,
     ) -> (StudyReport, QuarantineReport) {
         let mut ledger = QuarantineLedger::new();
-        let mut extractor = XidExtractor::studied_only(log_year);
-        let events = extractor.scan_reader_lenient(log, &mut ledger);
-        let extract_stats = extractor.stats();
+        let mut scan = LenientScan::studied_only(log_year);
+        let mut events = Vec::new();
+        scan.feed_reader(log, &mut ledger, &mut events);
+        let extract_stats = scan.stats();
         let gpu_jobs = csvio::parse_jobs_lenient(gpu_jobs_csv, &mut ledger);
         let cpu_jobs = csvio::parse_jobs_lenient(cpu_jobs_csv, &mut ledger);
         let outages = csvio::parse_outages_lenient(outages_csv, &mut ledger);
@@ -155,12 +119,12 @@ impl Pipeline {
     /// Runs the pipeline from already-extracted events (Stage I done
     /// elsewhere, e.g. when replaying a pre-parsed export).
     ///
-    /// Events are first put into the canonical `(time, host, seq)` order
-    /// (see [`hpclog::shard`]): a stable sort that every entry path —
-    /// serial, streaming, or [`run_parallel`](Self::run_parallel) at any
-    /// thread count — funnels through, so equal inputs always produce
-    /// byte-identical reports. Coalescing never merges across hosts, so
-    /// the sort cannot change any aggregate number.
+    /// Events are first put into the canonical `(time, host)` order (see
+    /// [`hpclog::shard`]): a stable sort that both batch entry paths
+    /// funnel through, and that the streaming engine's tie buffer
+    /// reproduces, so equal inputs always produce byte-identical reports.
+    /// Coalescing never merges across hosts, so the sort cannot change any
+    /// aggregate number.
     pub fn run_events(
         &self,
         mut events: Vec<XidEvent>,
@@ -551,54 +515,15 @@ mod tests {
     }
 
     #[test]
-    fn run_csv_strict_roundtrip() {
-        let (archive, jobs, outages) = sample_inputs();
-        let report = pipeline()
-            .run_csv(
-                render_log(&archive).as_slice(),
-                2022,
-                &jobs,
-                &crate::csvio::render_jobs(&[]),
-                &outages,
-            )
-            .unwrap();
-        assert_eq!(report.coalesce_summary.errors, 1);
-        assert_eq!(report.impact.gpu_failed_jobs(), 1);
-    }
-
-    #[test]
-    fn run_csv_reports_typed_errors() {
-        let (archive, jobs, _) = sample_inputs();
-        let err = pipeline()
-            .run_csv(
-                render_log(&archive).as_slice(),
-                2022,
-                &jobs,
-                "",
-                "bad outages\nrow\n",
-            )
-            .unwrap_err();
-        match err {
-            crate::error::PipelineError::Csv { input, .. } => {
-                assert_eq!(input, crate::error::CsvInput::CpuJobs);
-            }
-            other => panic!("expected a CSV error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn run_lenient_matches_strict_on_clean_input() {
+    fn run_lenient_matches_run_on_clean_input() {
         let (archive, jobs, outages) = sample_inputs();
         let empty = crate::csvio::render_jobs(&[]);
-        let strict = pipeline()
-            .run_csv(
-                render_log(&archive).as_slice(),
-                2022,
-                &jobs,
-                &empty,
-                &outages,
-            )
-            .unwrap();
+        let strict = pipeline().run(
+            &archive,
+            &crate::csvio::parse_jobs(&jobs).unwrap(),
+            &[],
+            &crate::csvio::parse_outages(&outages).unwrap(),
+        );
         let (report, quarantine) = pipeline().run_lenient(
             render_log(&archive).as_slice(),
             2022,
@@ -607,18 +532,31 @@ mod tests {
             &outages,
         );
         assert!(quarantine.is_clean(), "{:?}", quarantine.ledger.counts());
-        assert_eq!(
-            report.coalesce_summary.errors,
-            strict.coalesce_summary.errors
-        );
-        assert_eq!(
-            report.impact.gpu_failed_jobs(),
-            strict.impact.gpu_failed_jobs()
-        );
-        assert_eq!(
-            report.availability.outage_count(),
-            strict.availability.outage_count()
-        );
+        assert_eq!(report.extract_stats, strict.extract_stats);
+        assert_eq!(report.errors, strict.errors);
+        assert_eq!(crate::report::full(&report), crate::report::full(&strict));
+    }
+
+    #[test]
+    fn run_lenient_io_failure_keeps_the_prefix_and_flags_it() {
+        // The reader dies after the archive's bytes plus half a line.
+        let (archive, _, _) = sample_inputs();
+        let mut log = render_log(&archive);
+        log.extend_from_slice(b"Mar 14 03:2");
+        let failing = std::io::Read::chain(log.as_slice(), FailingReader);
+        let (report, quarantine) = pipeline().run_lenient(failing, 2022, "", "", "");
+        assert_eq!(report.coalesce_summary.errors, 1);
+        assert_eq!(quarantine.ledger.io_errors(), 1);
+        assert_eq!(quarantine.ledger.total(), 0, "the cut line is dropped");
+        assert_eq!(quarantine.caveats, [Caveat::InputIoError]);
+    }
+
+    struct FailingReader;
+
+    impl std::io::Read for FailingReader {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("disk on fire"))
+        }
     }
 
     #[test]

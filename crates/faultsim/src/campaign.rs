@@ -822,10 +822,11 @@ mod tests {
         let (again, stats_again) = Campaign::new(config).run().render_log();
         assert_eq!(bytes, again);
         assert_eq!(Some(stats), stats_again);
-        // Every injected defect is detected by the lenient extractor.
+        // Every injected defect is detected by the byte scanner: the
+        // injector's own count is the independent oracle.
         let mut ledger = hpclog::quarantine::QuarantineLedger::new();
-        let mut ex = hpclog::extract::XidExtractor::new(2022);
-        ex.scan_reader_lenient(bytes.as_slice(), &mut ledger);
+        let mut scan = hpclog::stream::LenientScan::new(2022);
+        scan.feed_reader(bytes.as_slice(), &mut ledger, &mut Vec::new());
         assert_eq!(ledger.total(), stats.quarantinable());
     }
 

@@ -9,7 +9,7 @@
 //! given `(config, input)` pair always produces byte-identical corruption.
 //!
 //! Each mutation is constructed to be **deterministically detectable** by
-//! the lenient reader ([`crate::extract::XidExtractor::scan_reader_lenient`]):
+//! the byte scanner ([`crate::stream::LenientScan`]):
 //!
 //! | mutation          | detected as            |
 //! |-------------------|------------------------|

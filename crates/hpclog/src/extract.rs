@@ -6,10 +6,15 @@
 //! interleave XID lines with arbitrary noise and the occasional truncated
 //! record — and it keeps counters so data-quality problems are visible
 //! instead of silent.
+//!
+//! [`XidExtractor`] works on lines already split and parsed (the
+//! [`crate::archive::Archive`] path). Raw byte streams go through
+//! [`crate::stream::LenientScan`], which wraps an extractor and adds the
+//! quarantine classification.
 
-use crate::line::{LogLine, LogLineErrorKind};
+use crate::line::LogLine;
 use crate::nvrm::XidEvent;
-use crate::quarantine::{QuarantineCategory, QuarantineCounts, QuarantineLedger};
+use crate::quarantine::{QuarantineCategory, QuarantineCounts};
 use simtime::Timestamp;
 
 /// Counters describing what an extractor has seen.
@@ -25,25 +30,10 @@ pub struct ExtractStats {
     pub extracted: u64,
     /// XID events dropped by the study-inclusion filter (XID 13/43/etc.).
     pub excluded: u64,
-    /// Per-category reject counts from lenient scans (zero on the strict
-    /// paths, which fold every reject into `malformed`).
+    /// Per-category reject counts from the byte scanner
+    /// ([`crate::stream::LenientScan`]); zero on the parsed-archive path,
+    /// which folds every reject into `malformed`.
     pub quarantined: QuarantineCounts,
-}
-
-impl ExtractStats {
-    /// Folds another extractor's counters into this one.
-    ///
-    /// Every field is a plain sum, so merging per-shard stats in any order
-    /// reproduces the counters a single serial scan would have produced —
-    /// the property `hpclog::shard` relies on.
-    pub fn merge(&mut self, other: &ExtractStats) {
-        self.lines_seen += other.lines_seen;
-        self.xid_lines += other.xid_lines;
-        self.malformed += other.malformed;
-        self.extracted += other.extracted;
-        self.excluded += other.excluded;
-        self.quarantined.merge(&other.quarantined);
-    }
 }
 
 /// Extracts structured XID events from log lines.
@@ -152,170 +142,16 @@ impl XidExtractor {
             }
         }
     }
-
-    /// Scans an iterator of raw lines and collects every extracted event.
-    pub fn scan<'a, I>(&mut self, lines: I) -> Vec<XidEvent>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        lines
-            .into_iter()
-            .filter_map(|l| self.extract_raw(l))
-            .collect()
-    }
-
-    /// Streams a reader line by line, extracting events without loading
-    /// the file into memory — the shape real multi-gigabyte day files
-    /// require. Accepts any [`std::io::Read`]; pass `&mut reader` to keep
-    /// ownership.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error, with events extracted so far
-    /// lost (re-run from a clean extractor after fixing the source).
-    pub fn scan_reader<R: std::io::Read>(&mut self, reader: R) -> std::io::Result<Vec<XidEvent>> {
-        use std::io::BufRead;
-        let before = self.stats;
-        let mut span = obs::span("stage_scan");
-        let mut events = Vec::new();
-        let buffered = std::io::BufReader::new(reader);
-        for line in buffered.lines() {
-            if let Some(ev) = self.extract_raw(&line?) {
-                events.push(ev);
-            }
-        }
-        span.add_items(self.stats.lines_seen - before.lines_seen);
-        record_scan_metrics(&before, &self.stats);
-        Ok(events)
-    }
-
-    /// Streams a reader like [`scan_reader`](Self::scan_reader), but never
-    /// fails: every line the strict path would choke on is classified and
-    /// recorded in `ledger` instead, and I/O errors end the scan early
-    /// (recorded via [`QuarantineLedger::record_io_error`]) rather than
-    /// discarding the events already extracted.
-    ///
-    /// Rejection categories, checked in order per line:
-    ///
-    /// 1. longer than the ledger's byte cap → `OversizedLine`
-    /// 2. not valid UTF-8 → `Encoding`
-    /// 3. syslog parse failed, missing fields → `Truncated`
-    /// 4. syslog parse failed, five fields but a bad stamp → `MalformedTimestamp`
-    /// 5. an `NVRM: Xid` body that does not parse → `BadXid`
-    /// 6. timestamp behind the last accepted line → `OutOfOrder`
-    ///
-    /// The monotonicity check (6) applies to *every* line, noise included:
-    /// consolidated day archives are globally time-ordered, so a regression
-    /// is corruption regardless of the line's content. The accepted-clock
-    /// anchor advances only on accepted lines (study-filter-excluded XID
-    /// events still count as accepted — the line itself was sound).
-    ///
-    /// Empty lines are skipped silently; they carry no data to lose.
-    pub fn scan_reader_lenient<R: std::io::Read>(
-        &mut self,
-        reader: R,
-        ledger: &mut QuarantineLedger,
-    ) -> Vec<XidEvent> {
-        use std::io::BufRead;
-        let before = self.stats;
-        let mut span = obs::span("stage_scan");
-        let mut events = Vec::new();
-        let mut buffered = std::io::BufReader::new(reader);
-        let mut raw = Vec::new();
-        let mut line_no: u64 = 0;
-        let mut prev_accepted: Option<Timestamp> = None;
-        loop {
-            raw.clear();
-            match buffered.read_until(b'\n', &mut raw) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(_) => {
-                    // The stream is gone; keep what we have.
-                    ledger.record_io_error();
-                    break;
-                }
-            }
-            line_no += 1;
-            while raw.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
-                raw.pop();
-            }
-            if raw.is_empty() {
-                continue;
-            }
-            self.stats.lines_seen += 1;
-            if raw.len() > ledger.max_line_bytes() {
-                self.quarantine(ledger, QuarantineCategory::OversizedLine, line_no, &raw);
-                continue;
-            }
-            let text = match std::str::from_utf8(&raw) {
-                Ok(t) => t,
-                Err(_) => {
-                    self.quarantine(ledger, QuarantineCategory::Encoding, line_no, &raw);
-                    continue;
-                }
-            };
-            let line = match LogLine::parse_with_year(text, self.year) {
-                Ok(line) => line,
-                Err(err) => {
-                    let category = match err.kind() {
-                        LogLineErrorKind::MissingField => QuarantineCategory::Truncated,
-                        LogLineErrorKind::BadTimestamp => QuarantineCategory::MalformedTimestamp,
-                    };
-                    self.quarantine(ledger, category, line_no, &raw);
-                    continue;
-                }
-            };
-            let xid = match XidEvent::parse_body(line.time, &line.host, &line.body) {
-                Some(Ok(ev)) => {
-                    self.stats.xid_lines += 1;
-                    Some(ev)
-                }
-                Some(Err(_)) => {
-                    self.stats.xid_lines += 1;
-                    self.stats.malformed += 1;
-                    self.quarantine(ledger, QuarantineCategory::BadXid, line_no, &raw);
-                    continue;
-                }
-                None => None,
-            };
-            if prev_accepted.is_some_and(|prev| line.time < prev) {
-                self.quarantine(ledger, QuarantineCategory::OutOfOrder, line_no, &raw);
-                continue;
-            }
-            prev_accepted = Some(line.time);
-            if let Some(ev) = xid {
-                if self.studied_only && !ev.kind().is_studied() {
-                    self.stats.excluded += 1;
-                } else {
-                    self.stats.extracted += 1;
-                    events.push(ev);
-                }
-            }
-        }
-        span.add_items(self.stats.lines_seen - before.lines_seen);
-        record_scan_metrics(&before, &self.stats);
-        events
-    }
-
-    pub(crate) fn quarantine(
-        &mut self,
-        ledger: &mut QuarantineLedger,
-        category: QuarantineCategory,
-        line_no: u64,
-        raw: &[u8],
-    ) {
-        self.stats.quarantined.add(category);
-        ledger.record(category, line_no, raw);
-    }
 }
 
 /// Publishes the delta between two extractor-stats snapshots to the
 /// global metrics registry.
 ///
 /// Strictly write-only (nothing here feeds back into extraction), and
-/// purely additive: every scan path — serial, sharded, streaming —
-/// emits its deltas through this one function, so the totals agree
-/// across execution modes whenever the scanned bytes do.
+/// purely additive: both Stage-I paths — the parsed archive and the byte
+/// scanner, batch or streamed — emit their deltas through this one
+/// function, so the totals agree across execution modes whenever the
+/// scanned bytes do.
 pub fn record_scan_metrics(before: &ExtractStats, after: &ExtractStats) {
     if !obs::is_enabled() {
         return;
@@ -391,9 +227,10 @@ mod tests {
     }
 
     #[test]
-    fn scan_mixed_stream() {
+    fn mixed_stream_counters() {
         let mut ex = XidExtractor::new(2024);
-        let events = ex.scan([XID_LINE, NOISE, SOFTWARE_XID, TRUNCATED, XID_LINE]);
+        let lines = [XID_LINE, NOISE, SOFTWARE_XID, TRUNCATED, XID_LINE];
+        let events: Vec<XidEvent> = lines.iter().filter_map(|l| ex.extract_raw(l)).collect();
         assert_eq!(events.len(), 3); // two hardware + one software XID
         let s = ex.stats();
         assert_eq!(s.lines_seen, 5);
@@ -414,153 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn scan_reader_streams_from_io() {
-        let text = format!("{XID_LINE}\n{NOISE}\n{XID_LINE}\n");
-        let mut ex = XidExtractor::new(2024);
-        let events = ex.scan_reader(text.as_bytes()).unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(ex.stats().lines_seen, 3);
-        // A mut reference works too (C-RW-VALUE).
-        let mut cursor = std::io::Cursor::new(XID_LINE.as_bytes());
-        let events = ex.scan_reader(&mut cursor).unwrap();
-        assert_eq!(events.len(), 1);
-    }
-
-    #[test]
-    fn scan_reader_propagates_io_errors() {
-        struct Broken;
-        impl std::io::Read for Broken {
-            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk on fire"))
-            }
-        }
-        let mut ex = XidExtractor::new(2024);
-        assert!(ex.scan_reader(Broken).is_err());
-    }
-
-    #[test]
     fn stats_start_at_zero() {
         let ex = XidExtractor::new(2024);
         assert_eq!(ex.stats(), ExtractStats::default());
-    }
-
-    #[test]
-    fn lenient_matches_strict_on_clean_input() {
-        let later_xid =
-            "Mar 14 03:25:00 gpub042 kernel: NVRM: Xid (PCI:0000:27:00): 79, pid=77, GPU has fallen off the bus.";
-        let text = format!("{XID_LINE}\n{NOISE}\n{SOFTWARE_XID}\n{later_xid}\n");
-        let mut strict = XidExtractor::new(2024);
-        let expect = strict.scan_reader(text.as_bytes()).unwrap();
-        let mut lenient = XidExtractor::new(2024);
-        let mut ledger = QuarantineLedger::new();
-        let events = lenient.scan_reader_lenient(text.as_bytes(), &mut ledger);
-        assert_eq!(events, expect);
-        assert!(ledger.is_empty());
-        assert_eq!(lenient.stats().quarantined.total(), 0);
-        assert_eq!(lenient.stats().extracted, strict.stats().extracted);
-    }
-
-    #[test]
-    fn lenient_classifies_each_category() {
-        let oversized = format!("Mar 14 03:22:05 gpub042 kernel: {}", "x".repeat(9000));
-        let mut bad_utf8 = NOISE.as_bytes().to_vec();
-        bad_utf8[20] = 0xFF;
-        let regressed = "Mar 13 01:00:00 gpub042 kernel: late arrival";
-        let bad_stamp = "Mar 99 03:22:07 gpub042 kernel: body";
-        let garbled = "Mar 14 03:22:11 gpub042 kernel: NVRM: Xid (PCI:0000:27:00): ??, huh";
-        // A mid-prefix cut: too few fields to even name a host. (The
-        // `TRUNCATED` const above keeps all five syslog fields and loses
-        // only XID body structure, so it classifies as `BadXid` instead.)
-        let cut_short = "Mar 14 03:2";
-        let mut input = Vec::new();
-        for chunk in [
-            XID_LINE.as_bytes(),
-            oversized.as_bytes(),
-            &bad_utf8,
-            cut_short.as_bytes(),
-            bad_stamp.as_bytes(),
-            garbled.as_bytes(),
-            regressed.as_bytes(),
-            NOISE.as_bytes(),
-        ] {
-            input.extend_from_slice(chunk);
-            input.push(b'\n');
-        }
-        let mut ex = XidExtractor::new(2024);
-        let mut ledger = QuarantineLedger::new();
-        let events = ex.scan_reader_lenient(input.as_slice(), &mut ledger);
-        assert_eq!(events.len(), 1); // only XID_LINE survives
-        use QuarantineCategory as Q;
-        let counts = ledger.counts();
-        assert_eq!(counts.get(Q::OversizedLine), 1);
-        assert_eq!(counts.get(Q::Encoding), 1);
-        assert_eq!(counts.get(Q::Truncated), 1);
-        assert_eq!(counts.get(Q::MalformedTimestamp), 1);
-        assert_eq!(counts.get(Q::BadXid), 1);
-        assert_eq!(counts.get(Q::OutOfOrder), 1);
-        assert_eq!(counts.get(Q::BadRecord), 0);
-        assert_eq!(ex.stats().quarantined, counts);
-        // NOISE at the end is accepted: the anchor did not move on rejects.
-        assert_eq!(ex.stats().lines_seen, 8);
-    }
-
-    #[test]
-    fn lenient_survives_io_failure_mid_stream() {
-        struct Flaky {
-            fed: bool,
-        }
-        impl std::io::Read for Flaky {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.fed {
-                    return Err(std::io::Error::other("disk on fire"));
-                }
-                self.fed = true;
-                let line = format!("{XID_LINE}\n");
-                buf[..line.len()].copy_from_slice(line.as_bytes());
-                Ok(line.len())
-            }
-        }
-        let mut ex = XidExtractor::new(2024);
-        let mut ledger = QuarantineLedger::new();
-        let events = ex.scan_reader_lenient(Flaky { fed: false }, &mut ledger);
-        assert_eq!(events.len(), 1); // the line before the failure survives
-        assert_eq!(ledger.io_errors(), 1);
-    }
-
-    #[test]
-    fn lenient_quarantine_total_matches_chaos_stats() {
-        use crate::chaos::{ChaosConfig, ChaosInjector};
-        use crate::LogLine;
-
-        // A clean, time-ordered stream of mixed XID and noise lines.
-        let mut input = Vec::new();
-        let mut chaos =
-            ChaosInjector::new(ChaosConfig::uniform_with_duplicates(0.35, 0.1, 0xDECAF));
-        for i in 0..400u32 {
-            let t =
-                Timestamp::from_ymd_hms(2024, 3, 14, 6 + i / 3600, (i / 60) % 60, i % 60).unwrap();
-            let body = if i % 3 == 0 {
-                "NVRM: Xid (PCI:0000:27:00): 79, pid=9, GPU has fallen off the bus."
-            } else {
-                "usb 3-2: new high-speed USB device"
-            };
-            let line = LogLine::new(t, "gpub042", "kernel", body).to_string();
-            chaos.corrupt_line(t, &line, &mut input);
-        }
-        let stats = chaos.stats();
-        assert!(stats.quarantinable() > 0, "chaos produced no corruption");
-        let mut ex = XidExtractor::new(2024);
-        let mut ledger = QuarantineLedger::new();
-        let events = ex.scan_reader_lenient(input.as_slice(), &mut ledger);
-        assert_eq!(
-            ledger.total(),
-            stats.quarantinable(),
-            "ledger {:?} vs chaos {stats:?}",
-            ledger.counts()
-        );
-        assert_eq!(ledger.io_errors(), 0);
-        assert!(!events.is_empty());
-        // Duplicates pass through un-quarantined (coalescing's problem).
-        assert_eq!(ex.stats().lines_seen, stats.lines_out);
     }
 }

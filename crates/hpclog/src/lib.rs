@@ -20,16 +20,17 @@
 //!   structured form.
 //! * [`pattern`] — the filtering engine: glob/capture patterns compiled once
 //!   and matched against millions of lines without regex dependencies.
-//! * [`extract`] — the Stage-I extractor: lines in, [`nvrm::XidEvent`]s out,
-//!   tolerant of interleaved noise.
+//! * [`extract`] — the Stage-I extractor over parsed lines:
+//!   [`nvrm::XidEvent`]s out, tolerant of interleaved noise.
 //! * [`archive`] — per-day log consolidation, mirroring Delta's collection.
 //! * [`quarantine`] — the reject ledger lenient readers feed: per-category
 //!   counts plus a bounded reservoir of exemplar bad lines.
-//! * [`shard`] — host-sharded parallel extraction with a deterministic
-//!   k-way merge back into the canonical `(time, host, seq)` order.
-//! * [`stream`] — the resumable lenient scanner: the same classification as
-//!   [`extract`], fed in arbitrary-sized byte chunks, with snapshotable
-//!   cross-line state (partial-line carry, line counter, order anchor).
+//! * [`shard`] — the canonical `(time, host)` event order and the k-way
+//!   merge kernel the serving layer's sharded store uses.
+//! * [`stream`] — the Stage-I byte scanner: raw bytes in (one reader or
+//!   arbitrary-sized chunks), events and quarantine records out, with
+//!   snapshotable cross-line state (partial-line carry, line counter,
+//!   order anchor).
 //! * [`chaos`] — seeded corruption injection for resilience testing:
 //!   truncation, invalid UTF-8, clock skew, interleaving, duplication.
 //!

@@ -1,14 +1,16 @@
 //! Property tests: log line and NVRM body round trips, pattern-engine
-//! invariants, archive conservation, and the shard/merge determinism
-//! contract — on the in-repo `propcheck` harness.
+//! invariants, archive conservation, the merge kernel's determinism and
+//! the byte scanner's chunking invariance — on the in-repo `propcheck`
+//! harness.
 
 use hpclog::archive::Archive;
 use hpclog::extract::XidExtractor;
 use hpclog::pattern::Pattern;
 use hpclog::quarantine::QuarantineLedger;
 use hpclog::shard;
+use hpclog::stream::LenientScan;
 use hpclog::{Duration, LogLine, PciAddr, Timestamp, XidEvent};
-use propcheck::{run, run_shrinking, shrink_vec, Gen};
+use propcheck::{run, Gen};
 use xid::XidCode;
 
 const ALNUM: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
@@ -209,114 +211,71 @@ fn build_archive(lines: &[LogLine]) -> Archive {
     archive
 }
 
-/// The shard-merge determinism property: for any generated archive,
-/// `merge(extract(shards(archive))) == canonical_sort(extract(archive))`,
-/// with identical extraction counters, at every thread count. On failure
-/// the line set shrinks to a minimal counterexample.
-#[test]
-fn shard_merge_equals_sorted_serial_extract() {
-    run_shrinking(
-        "shard_merge_equals_sorted_serial_extract",
-        200,
-        gen_lines,
-        |lines| shrink_vec(lines),
-        |lines| {
-            let archive = build_archive(lines);
-            let mut serial = XidExtractor::studied_only(2024);
-            let mut expect: Vec<XidEvent> =
-                archive.iter().filter_map(|l| serial.extract(l)).collect();
-            shard::canonical_sort(&mut expect);
-            let template = XidExtractor::studied_only(2024);
-            for threads in [1, 2, 4, 8] {
-                let (events, stats) = shard::extract_sharded(&archive, &template, threads);
-                if events != expect {
-                    return Err(format!(
-                        "threads={threads}: merged {} events != serial {}",
-                        events.len(),
-                        expect.len()
-                    ));
-                }
-                if stats != serial.stats() {
-                    return Err(format!(
-                        "threads={threads}: stats {stats:?} != {:?}",
-                        serial.stats()
-                    ));
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
-/// Sharding is an exact partition: every replay index appears in exactly
-/// one shard, shard hostnames are unique and sorted, and per-shard indices
-/// strictly increase (replay order is preserved inside a shard).
-#[test]
-fn shard_partition_is_exact() {
-    run("shard_partition_is_exact", 200, |g| {
-        let archive = build_archive(&gen_lines(g));
-        let shards = shard::shard_by_host(&archive);
-        let mut seqs: Vec<u64> = Vec::new();
-        for pair in shards.windows(2) {
-            assert!(pair[0].host < pair[1].host);
-        }
-        for s in &shards {
-            assert!(s.lines.iter().all(|(_, l)| l.host == s.host));
-            assert!(s.lines.windows(2).all(|w| w[0].0 < w[1].0));
-            seqs.extend(s.lines.iter().map(|&(seq, _)| seq));
-        }
-        seqs.sort_unstable();
-        let expect: Vec<u64> = (0..archive.line_count() as u64).collect();
-        assert_eq!(seqs, expect);
-    });
-}
-
-/// The k-way merge is independent of the order in which shard streams are
-/// supplied: any permutation of the inputs yields the same output.
+/// The k-way merge kernel is independent of the order in which streams
+/// are supplied when its key is unique: events tagged with their replay
+/// index (a unique `(time, host, seq)` key, the shape of the serving
+/// store's global row id), dealt at random over sorted streams, merge back
+/// to the sorted whole under any permutation of the stream list.
 #[test]
 fn merge_is_stream_order_invariant() {
     run("merge_is_stream_order_invariant", 200, |g| {
         let archive = build_archive(&gen_lines(g));
-        let shards = shard::shard_by_host(&archive);
-        let mut streams: Vec<Vec<shard::SeqEvent>> = shards
+        let mut ex = XidExtractor::studied_only(2024);
+        let cmp = |a: &(u64, XidEvent), b: &(u64, XidEvent)| {
+            (a.1.time, a.1.host.as_str(), a.0).cmp(&(b.1.time, b.1.host.as_str(), b.0))
+        };
+        let mut tagged: Vec<(u64, XidEvent)> = archive
             .iter()
-            .map(|s| {
-                let mut ex = XidExtractor::studied_only(2024);
-                shard::extract_shard(s, &mut ex)
-            })
+            .enumerate()
+            .filter_map(|(seq, line)| ex.extract(line).map(|ev| (seq as u64, ev)))
             .collect();
-        let forward = shard::merge_events(streams.clone());
+        tagged.sort_by(cmp);
+        let k = g.usize_in(1, 9);
+        let mut streams: Vec<Vec<(u64, XidEvent)>> = vec![Vec::new(); k];
+        for item in &tagged {
+            streams[g.usize_in(0, k)].push(item.clone());
+        }
+        let forward = shard::merge_sorted_by(streams.clone(), cmp);
+        assert_eq!(forward, tagged);
         // A seeded Fisher-Yates permutation of the stream list.
         for i in (1..streams.len()).rev() {
             let j = g.usize_in(0, i + 1);
             streams.swap(i, j);
         }
-        assert_eq!(shard::merge_events(streams), forward);
+        assert_eq!(shard::merge_sorted_by(streams, cmp), forward);
     });
 }
 
-/// The chunk-parallel lenient scan is observationally identical to the
-/// serial one under generated corruption: same events, same counters,
-/// same ledger counts, same reservoir exemplars.
+/// The byte scanner is observationally independent of how its input is
+/// chunked, under generated corruption: one read to the end and a feed at
+/// random chunk boundaries give the same events, counters, ledger counts
+/// and reservoir exemplars.
 #[test]
-fn sharded_lenient_scan_matches_serial() {
-    run("sharded_lenient_scan_matches_serial", 64, |g| {
+fn chunked_lenient_scan_matches_one_read() {
+    run("chunked_lenient_scan_matches_one_read", 64, |g| {
         use hpclog::chaos::{ChaosConfig, ChaosInjector};
         let archive = build_archive(&gen_lines(g));
         let rate = g.f64_in(0.0, 0.3);
         let mut chaos = ChaosInjector::new(ChaosConfig::uniform(rate, g.u64()));
         let corrupt = chaos.corrupt_archive(&archive);
-        let mut serial = XidExtractor::studied_only(2024);
-        let mut serial_ledger = QuarantineLedger::new();
-        let expect = serial.scan_reader_lenient(corrupt.as_slice(), &mut serial_ledger);
-        let threads = g.usize_in(2, 9);
-        let mut sharded = XidExtractor::studied_only(2024);
+        let mut whole = LenientScan::studied_only(2024);
+        let mut whole_ledger = QuarantineLedger::new();
+        let mut expect = Vec::new();
+        whole.feed_reader(corrupt.as_slice(), &mut whole_ledger, &mut expect);
+        let mut chunked = LenientScan::studied_only(2024);
         let mut ledger = QuarantineLedger::new();
-        let events = sharded.scan_reader_lenient_sharded(corrupt.as_slice(), &mut ledger, threads);
-        assert_eq!(events, expect, "threads={threads}");
-        assert_eq!(sharded.stats(), serial.stats());
-        assert_eq!(ledger.counts(), serial_ledger.counts());
-        assert_eq!(ledger.exemplars(), serial_ledger.exemplars());
+        let mut events = Vec::new();
+        let mut rest = corrupt.as_slice();
+        while !rest.is_empty() {
+            let (piece, tail) = rest.split_at(g.usize_in(1, 200).min(rest.len()));
+            chunked.feed(piece, &mut ledger, &mut events);
+            rest = tail;
+        }
+        chunked.finish(&mut ledger, &mut events);
+        assert_eq!(events, expect);
+        assert_eq!(chunked.stats(), whole.stats());
+        assert_eq!(ledger.counts(), whole_ledger.counts());
+        assert_eq!(ledger.exemplars(), whole_ledger.exemplars());
     });
 }
 

@@ -123,7 +123,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         let mut span = obs::span("stage_ingest");
         for file in cli::collect_log_files(&flags.positionals)? {
             let text = cli::read_to_string(&file)?;
-            let year = cli::year_from_filename(&file).unwrap_or_else(|| probe_year(&text));
+            let year = cli::year_from_filename(&file).unwrap_or_else(|| cli::probe_year(&text));
             let (_, skipped) = archive.ingest_day(&text, year);
             skipped_total += skipped;
         }
@@ -217,21 +217,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         println!("metrics written to {}", sink.path.display());
     }
     Ok(())
-}
-
-/// Picks the year under which a sample of the file's lines parses with the
-/// fewest losses (leap days make wrong years lose lines).
-fn probe_year(text: &str) -> i32 {
-    let sample: Vec<&str> = text.lines().take(500).collect();
-    let mut best = (usize::MAX, 2024);
-    for year in 2022..=2026 {
-        let mut probe = hpclog::archive::Archive::new();
-        let (_, skipped) = probe.ingest_day(&sample.join("\n"), year);
-        if skipped < best.0 {
-            best = (skipped, year);
-        }
-    }
-    best.1
 }
 
 /// Infers a study calendar from the observed data span, keeping Delta's
@@ -401,7 +386,7 @@ mod tests {
     fn probe_year_prefers_parseable_year() {
         // Feb 29 only parses in 2024 among the candidates.
         let text = "Feb 29 12:00:00 gpub001 kernel: leap day\n";
-        assert_eq!(probe_year(text), 2024);
+        assert_eq!(cli::probe_year(text), 2024);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! ```
 //!
 //! **Batch mode** ingests the same inputs as `delta-cli analyze` (per-day
-//! syslog files plus optional job/outage CSV exports), runs the lenient
-//! pipeline once, builds the `servd` columnar store, and serves it until
+//! syslog files plus optional job/outage CSV exports), runs them once
+//! through the lenient streaming engine (each day file under its own
+//! year), builds the `servd` columnar store, and serves it until
 //! SIGINT/SIGTERM.
 //!
 //! **Live-ingest mode** (`--ingest-dir`) starts with an empty study — or
@@ -56,6 +57,7 @@
 use delta_gpu_resilience::cli::{self, parse_flags, CliError, Flags};
 use delta_gpu_resilience::prelude::*;
 use resilience::error::CsvInput;
+use resilience::StreamingPipeline;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
@@ -177,27 +179,23 @@ fn run(args: &[String]) -> Result<(), CliError> {
         ));
     }
 
-    // Ingest per-day logs exactly as `delta-cli analyze` does: year from
-    // the filename when present, otherwise probed from a line sample.
-    let mut log = Vec::new();
-    let mut year = None;
+    // Scan per-day logs as `delta-cli analyze` reads them: each file under
+    // its own year (from the filename when present, otherwise probed from
+    // a line sample), ending each file's last line at the file boundary.
+    let mut engine = StreamingPipeline::new(pipeline_from_flags(&flags)?, 2024);
     {
         let mut span = obs::span("stage_ingest");
         let files = cli::collect_log_files(&flags.positionals)?;
         for file in &files {
             let bytes = cli::read_bytes(file)?;
-            if year.is_none() {
-                year = cli::year_from_filename(file);
-            }
-            log.extend_from_slice(&bytes);
-            if !log.ends_with(b"\n") {
-                log.push(b'\n');
-            }
+            let year = cli::year_from_filename(file)
+                .unwrap_or_else(|| cli::probe_year(&String::from_utf8_lossy(&bytes)));
+            engine.set_log_year(year);
+            engine.push_log(&bytes);
+            engine.finish_log();
         }
         span.add_items(files.len() as u64);
     }
-    let year = year.unwrap_or_else(|| probe_year(&log));
-
     let gpu_csv = match flags.value("jobs") {
         Some(path) => cli::read_to_string(path)?,
         None => String::new(),
@@ -222,9 +220,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
         cli::parse_outages_csv(&out_csv)?;
     }
 
-    let pipeline = pipeline_from_flags(&flags)?;
-    let (report, quarantine) =
-        pipeline.run_lenient(log.as_slice(), year, &gpu_csv, &cpu_csv, &out_csv);
+    engine.push_gpu_jobs_csv(&gpu_csv);
+    engine.push_cpu_jobs_csv(&cpu_csv);
+    engine.push_outages_csv(&out_csv);
+    let (report, quarantine) = engine.finalize();
     for caveat in &quarantine.caveats {
         eprintln!("caveat: {caveat:?}");
     }
@@ -416,20 +415,4 @@ fn server_config_from_flags(flags: &Flags) -> Result<servd::ServerConfig, CliErr
         ));
     }
     Ok(config)
-}
-
-/// Picks the year under which a sample of the log's lines parses with the
-/// fewest losses (same heuristic as `delta-cli analyze`).
-fn probe_year(log: &[u8]) -> i32 {
-    let text = String::from_utf8_lossy(log);
-    let sample: Vec<&str> = text.lines().take(500).collect();
-    let mut best = (usize::MAX, 2024);
-    for year in 2022..=2026 {
-        let mut probe = hpclog::archive::Archive::new();
-        let (_, skipped) = probe.ingest_day(&sample.join("\n"), year);
-        if skipped < best.0 {
-            best = (skipped, year);
-        }
-    }
-    best.1
 }

@@ -90,12 +90,6 @@ impl std::error::Error for CliError {
     }
 }
 
-impl From<PipelineError> for CliError {
-    fn from(e: PipelineError) -> Self {
-        CliError::Pipeline(e)
-    }
-}
-
 impl From<CheckpointError> for CliError {
     fn from(e: CheckpointError) -> Self {
         CliError::Checkpoint(e)
@@ -296,6 +290,23 @@ pub fn year_from_filename(path: &Path) -> Option<i32> {
             let year: i32 = chunk[..4].parse().ok()?;
             (1970..=2100).contains(&year).then_some(year)
         })
+}
+
+/// The year a day file's year-less syslog stamps belong to, when its
+/// name does not say ([`year_from_filename`]): the candidate year
+/// (2022–2026) under which a sample of its first 500 lines parses with the
+/// fewest losses. Ties go to the earliest candidate.
+pub fn probe_year(text: &str) -> i32 {
+    let sample: Vec<&str> = text.lines().take(500).collect();
+    let mut best = (usize::MAX, 2024);
+    for year in 2022..=2026 {
+        let mut probe = hpclog::archive::Archive::new();
+        let (_, skipped) = probe.ingest_day(&sample.join("\n"), year);
+        if skipped < best.0 {
+            best = (skipped, year);
+        }
+    }
+    best.1
 }
 
 /// Output encodings for `--metrics-out`.

@@ -2,13 +2,15 @@
 //! committed golden corrupt corpus (`tests/fixtures/`) and against seeded
 //! chaos at storm scale. The contract under test: `run_lenient` never
 //! panics, every defect is classified into exactly one quarantine
-//! category, and clean input leaves the ledger empty.
+//! category, and clean input leaves the ledger empty — and agrees with
+//! the parsed-archive path (`Pipeline::run`) on every rendered aggregate.
 
 use delta_gpu_resilience::prelude::*;
+use hpclog::archive::Archive;
 use hpclog::chaos::{ChaosConfig, ChaosInjector};
-use hpclog::extract::XidExtractor;
+use hpclog::stream::LenientScan;
 use hpclog::{QuarantineCategory, QuarantineLedger};
-use resilience::csvio;
+use resilience::{csvio, markdown};
 
 const GOLDEN_LOG: &[u8] = include_bytes!("fixtures/corrupt_golden.log");
 const CLEAN_LOG: &str = include_str!("fixtures/clean.log");
@@ -20,9 +22,10 @@ const GOLDEN_YEAR: i32 = 2022;
 
 #[test]
 fn golden_corpus_counts_are_exact() {
-    let mut ex = XidExtractor::studied_only(GOLDEN_YEAR);
+    let mut ex = LenientScan::studied_only(GOLDEN_YEAR);
     let mut ledger = QuarantineLedger::new();
-    let events = ex.scan_reader_lenient(GOLDEN_LOG, &mut ledger);
+    let mut events = Vec::new();
+    ex.feed_reader(GOLDEN_LOG, &mut ledger, &mut events);
 
     // Keep in sync with tests/fixtures/README.md.
     use QuarantineCategory as Q;
@@ -113,17 +116,64 @@ fn clean_input_produces_empty_ledger() {
     assert!(quarantine.ledger.exemplars().is_empty());
     assert_eq!(report.coalesce_summary.errors, 3);
 
-    // And the strict path agrees exactly on the same input.
-    let strict = pipeline
-        .run_csv(
-            CLEAN_LOG.as_bytes(),
-            GOLDEN_YEAR,
-            &gpu_jobs,
-            &gpu_jobs,
-            &outages,
-        )
-        .expect("clean input must satisfy the strict path too");
+    // And the parsed-archive path agrees exactly on the same input.
+    let mut archive = Archive::new();
+    let (_, skipped) = archive.ingest_day(CLEAN_LOG, GOLDEN_YEAR);
+    assert_eq!(skipped, 0, "the clean corpus must parse line for line");
+    let strict = pipeline.run(&archive, &[], &[], &[]);
     assert_eq!(strict.coalesce_summary, report.coalesce_summary);
+    assert_eq!(strict.extract_stats, report.extract_stats);
+}
+
+#[test]
+fn strict_and_lenient_agree_on_clean_bytes() {
+    // Cross-path anchor on a full rendered campaign: the lenient byte path
+    // and the parsed-archive path must agree on every aggregate the
+    // renders show (the canonical event order makes them byte-identical).
+    let scale = 0.02;
+    let seed = 0xFEED;
+    let mut config = FaultConfig::delta_scaled(scale);
+    config.seed = seed;
+    let campaign = Campaign::new(config).run();
+    let cluster = Cluster::new(campaign.config.spec);
+    let outcome = Simulation::new(&cluster, WorkloadConfig::delta_scaled(scale), seed)
+        .run(&campaign.ground_truth, &campaign.holds);
+    let gpu_jobs = bridge::jobs(&outcome.jobs);
+    let cpu_jobs = bridge::jobs(&outcome.cpu_jobs);
+    let outages = bridge::outages(campaign.ledger.outages());
+    let mut pipeline = Pipeline::delta();
+    pipeline.periods = campaign.config.periods;
+
+    let strict = pipeline.run(&campaign.archive, &gpu_jobs, &cpu_jobs, &outages);
+    let mut log = Vec::new();
+    for line in campaign.archive.iter() {
+        log.extend_from_slice(line.to_string().as_bytes());
+        log.push(b'\n');
+    }
+    // The scaled calendar stays inside 2022, so one log year resolves
+    // every year-less stamp.
+    let (lenient, q) = pipeline.run_lenient(
+        log.as_slice(),
+        2022,
+        &csvio::render_jobs(&gpu_jobs),
+        &csvio::render_jobs(&cpu_jobs),
+        &csvio::render_outages(&outages),
+    );
+    assert!(q.is_clean(), "{:?}", q.ledger.counts());
+    assert!(
+        strict.coalesce_summary.errors > 0,
+        "campaign produced no errors; the comparison would be vacuous"
+    );
+    assert_eq!(
+        lenient.coalesce_summary.errors,
+        strict.coalesce_summary.errors
+    );
+    assert_eq!(markdown::table1_md(&lenient), markdown::table1_md(&strict));
+    assert_eq!(markdown::table2_md(&lenient), markdown::table2_md(&strict));
+    assert_eq!(
+        lenient.availability.availability_empirical(),
+        strict.availability.availability_empirical()
+    );
 }
 
 #[test]

@@ -40,12 +40,11 @@ fn snapshot_store() -> StudyStore {
         Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
     let mut pipeline = Pipeline::delta();
     pipeline.periods = campaign.config.periods;
-    let report = pipeline.run_parallel(
+    let report = pipeline.run(
         &campaign.archive,
         &bridge::jobs(&outcome.jobs),
         &bridge::jobs(&outcome.cpu_jobs),
         &bridge::outages(campaign.ledger.outages()),
-        4,
     );
     StudyStore::build_sharded(report, None, 4)
 }

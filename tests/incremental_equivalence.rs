@@ -24,7 +24,7 @@ use xid::XidCode;
 /// table, the figure and the ledger have non-trivial content).
 const SCALE: f64 = 0.02;
 const SEED: u64 = 0xD1FF;
-/// The scaled calendar stays inside 2022 (see E12/E13).
+/// The scaled calendar stays inside 2022 (see E13).
 const LOG_YEAR: i32 = 2022;
 /// The golden snapshot campaign (keep in sync with tests/golden_report.rs).
 const GOLDEN_SCALE: f64 = 0.02;

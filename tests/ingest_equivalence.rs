@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 const SCALE: f64 = 0.02;
 const SEED: u64 = 0x0B5;
-/// The scaled calendar stays inside 2022 (see E12/E13).
+/// The scaled calendar stays inside 2022 (see E13).
 const LOG_YEAR: i32 = 2022;
 
 // ---------------------------------------------------------------- dataset

@@ -23,7 +23,7 @@ use xid::XidCode;
 
 const SCALE: f64 = 0.02;
 const SEED: u64 = 0x0B5;
-/// The scaled calendar stays inside 2022 (see E12/E13).
+/// The scaled calendar stays inside 2022 (see E13).
 const LOG_YEAR: i32 = 2022;
 
 // ---------------------------------------------------------------- dataset
